@@ -41,6 +41,7 @@ __all__ = [
     "Opaque",
     "codec_for",
     "codec_named",
+    "materialize",
 ]
 
 CODEC_PICKLE = 1
@@ -108,3 +109,15 @@ def codec_named(name: str) -> int:
         raise CodecError(
             f"unknown codec {name!r}; expected one of {sorted(CODEC_NAMES)}"
         ) from None
+
+
+def materialize(value: Any) -> Any:
+    """The object behind ``value``: an :class:`Opaque` span is decoded,
+    anything else comes back unchanged.
+
+    Hub events carry relayed payloads exactly as they arrived — an
+    ``Opaque`` span on the binary codec — so a sink that needs the object
+    itself (e.g. :class:`~repro.engine.events.TracerSink`) calls this;
+    counting sinks never pay for the decode.
+    """
+    return value.decode() if type(value) is Opaque else value

@@ -85,8 +85,10 @@ class Opaque:
     The hub's frame decoder runs in lazy mode: blob-framed fields (e.g.
     ``MsgSend.payload``) surface as ``Opaque`` spans.  Re-encoding splices
     the span verbatim, so relaying costs a memcpy instead of a decode +
-    encode round trip.  :meth:`decode` materializes on demand (only the
-    event-stream sink ever needs to).
+    encode round trip.  On the binary-codec socket engines the hub's
+    ``SendEvent``/``DeliverEvent`` payloads are these spans too; :meth:`decode`
+    (or :func:`repro.codec.materialize`) materializes on demand, for the
+    sinks that need the object.
     """
 
     __slots__ = ("data",)

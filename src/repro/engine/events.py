@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..codec import materialize
 from ..types import DecisionKind, ProcessId
 
 __all__ = [
@@ -52,7 +53,11 @@ class RunEvent:
 
 @dataclass(frozen=True, slots=True)
 class SendEvent(RunEvent):
-    """``pid`` shipped a message to ``dst`` (once per destination)."""
+    """``pid`` shipped a message to ``dst`` (once per destination).
+
+    On the binary-codec socket engines ``payload`` is the hub's lazy
+    :class:`~repro.codec.Opaque` span, not the object; decode it with
+    :func:`repro.codec.materialize` when the object is needed."""
 
     dst: ProcessId
     payload: Any
@@ -61,7 +66,10 @@ class SendEvent(RunEvent):
 
 @dataclass(frozen=True, slots=True)
 class DeliverEvent(RunEvent):
-    """``pid`` received (and handled) a message from ``sender``."""
+    """``pid`` received (and handled) a message from ``sender``.
+
+    ``payload`` may be an :class:`~repro.codec.Opaque` span, as on
+    :class:`SendEvent`."""
 
     sender: ProcessId
     payload: Any
@@ -186,7 +194,8 @@ class TracerSink(EventSink):
     Tracer` record format, record for record identical to the inline
     ``tracer.record`` calls the runners used to make.  ``SendEvent``,
     ``FaultEvent`` and ``RoundEvent`` have no legacy counterpart and are
-    dropped."""
+    dropped.  Delivered payloads are materialized, so records stay objects
+    on the socket engines too."""
 
     def __init__(self, tracer) -> None:
         self.tracer = tracer
@@ -197,7 +206,11 @@ class TracerSink(EventSink):
                 event.time,
                 event.pid,
                 "deliver",
-                {"from": event.sender, "payload": event.payload, "depth": event.depth},
+                {
+                    "from": event.sender,
+                    "payload": materialize(event.payload),
+                    "depth": event.depth,
+                },
             )
         elif isinstance(event, DecideEvent):
             self.tracer.record(

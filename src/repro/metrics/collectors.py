@@ -256,8 +256,14 @@ class StreamAggregate:
             return None
         return self.latency_percentile(q)
 
-    def summary(self) -> dict[str, float]:
-        """The headline numbers as one flat dict (for report rows)."""
+    def summary(self) -> dict[str, float | None]:
+        """The headline numbers as one flat dict (for report rows).
+
+        ``mean_wall_seconds`` and ``throughput_msgs_per_s`` are ``None``
+        when no run recorded a wall time (e.g. the per-slot aggregates of
+        a sharded report): an unmeasured figure is never a zero.
+        """
+        timed = bool(self.wall_times)
         return {
             "runs": self.runs,
             "sends": self.sends,
@@ -268,8 +274,8 @@ class StreamAggregate:
             "one_step_frac": round(self.one_step_fraction, 3),
             "two_step_frac": round(self.kind_fraction(DecisionKind.TWO_STEP), 3),
             "underlying_frac": round(self.kind_fraction(DecisionKind.UNDERLYING), 3),
-            "mean_wall_seconds": round(self.mean_wall_seconds, 6),
-            "throughput_msgs_per_s": round(self.throughput, 1),
+            "mean_wall_seconds": round(self.mean_wall_seconds, 6) if timed else None,
+            "throughput_msgs_per_s": round(self.throughput, 1) if timed else None,
             "p50_decision_latency_s": round(self.latency_percentile(0.50), 6),
             "p99_decision_latency_s": round(self.latency_percentile(0.99), 6),
             "timeouts": self.timeouts,

@@ -8,6 +8,15 @@ EventLog` — and any metrics built on them — work unchanged over real
 sockets.  Event ``time`` is wall-clock seconds since the run started
 (the same convention as the asyncio backend).
 
+Emission is header-only: send and deliver events carry the relayed
+payload exactly as the hub holds it — on the binary codec a lazy
+:class:`~repro.codec.Opaque` span, never decoded on the hub — so watching a
+run does not undo the zero-decode relay.  Counting sinks never look inside
+(:class:`~repro.shard.metrics.ShardStreamSink` reads the shard off the
+span's header with :func:`~repro.shard.router.peek_shard`); a sink that
+needs the object calls :func:`repro.codec.materialize`, as
+:class:`~repro.engine.events.TracerSink` does.
+
 One approximation is inherent to the topology: a ``DeliverEvent`` is
 emitted when the hub hands the frame to the destination's socket, not when
 the destination process dequeues it.  The gap is one socket hop; per-run
@@ -19,7 +28,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..codec import Opaque
 from ..engine.events import (
     DecideEvent,
     DeliverEvent,
@@ -33,16 +41,6 @@ from ..engine.events import (
     ServiceEvent,
 )
 from ..types import ProcessId
-
-
-def _materialize(payload: Any) -> Any:
-    """Decode a relayed payload span for the event stream.
-
-    The hub forwards binary-codec payloads as :class:`~repro.codec.Opaque`
-    spans without decoding; only an attached sink ever needs the object,
-    so the decode happens here — on emit, never on the relay fast path.
-    """
-    return payload.decode() if type(payload) is Opaque else payload
 
 
 class StreamClock:
@@ -74,14 +72,12 @@ class HubEvents:
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
         if self.sink is not None:
-            payload = _materialize(payload)
             self.sink.emit(SendEvent(self.clock.now(), src, dst, payload, depth))
 
     def deliver(
         self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int
     ) -> None:
         if self.sink is not None:
-            payload = _materialize(payload)
             self.sink.emit(DeliverEvent(self.clock.now(), dst, sender, payload, depth))
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, step: int) -> None:

@@ -1,13 +1,16 @@
 """Key→shard routing and the ``(shard, slot)`` instance multiplexer.
 
 A sharded service runs one independent replicated log per shard; every
-shard advances through consecutive consensus slots.  Two pieces make that
+shard advances through consecutive consensus slots.  Three pieces make that
 work over a *single* transport:
 
 * :func:`shard_of` — the deterministic key→shard mapping.  It hashes with
   ``zlib.crc32``, never ``hash()``: the builtin string hash is salted per
   process (``PYTHONHASHSEED``), so forked node workers on the ``net``
   engine would disagree about which shard owns a key.
+* :func:`shard_of_payload` / :func:`peek_shard` — the shard a message
+  belongs to, read off its envelope chain or, on the binary codec, off
+  the raw span's header without decoding it.
 * :class:`ShardMultiplexer` — a composite protocol hosting one consensus
   child per *instance* ``(shard, slot)``.  Children are named
   ``s<shard>.<slot>``, so every message a child sends travels inside an
@@ -29,6 +32,15 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable
 
+from ..codec import Opaque
+from ..codec.binary import (
+    TAG_ENVELOPE,
+    CodecError,
+    _COMPONENT_INSTANCE,
+    _COMPONENT_STR,
+    _COMPONENT_TABLE_BASE,
+    _read_varint,
+)
 from ..codec.schema import instance_name, parse_instance
 from ..runtime.composite import CompositeProtocol, Envelope
 from ..runtime.effects import Decide, Deliver, Effect
@@ -37,8 +49,11 @@ from ..types import DecisionKind, ProcessId, SystemConfig, Value
 
 __all__ = [
     "INSTANCE_DECIDED_TAG",
+    "UNATTRIBUTED",
     "shard_of",
     "hub_of",
+    "shard_of_payload",
+    "peek_shard",
     "instance_name",
     "parse_instance",
     "ShardMultiplexer",
@@ -46,6 +61,10 @@ __all__ = [
 
 #: Upcall tag of a per-instance decision surfaced by the multiplexer.
 INSTANCE_DECIDED_TAG = "shard-slot-decided"
+
+#: Shard index meaning "no shard tag found": control traffic (pinned to hub
+#: 0 on a mesh) and foreign envelopes.
+UNATTRIBUTED = -1
 
 #: builds the consensus instance for one ``(shard, slot)``:
 #: ``(shard, slot, proposal) -> Protocol``.
@@ -78,6 +97,62 @@ def hub_of(shard: int, hubs: int) -> int:
     if shard < 0:
         raise ValueError("shard must be non-negative")
     return shard % hubs
+
+
+def shard_of_payload(payload: Any, shards: int) -> int:
+    """Shard owning a message payload, or :data:`UNATTRIBUTED`.
+
+    Unwraps the envelope chain (``Envelope("mux", Envelope("s<shard>.
+    <slot>", …))``); an :class:`~repro.codec.Opaque` span is peeked
+    without materializing.  Nodes steer frames, data hubs route them and
+    the metrics layer charges them to shards all through this one
+    function.
+    """
+    if type(payload) is Opaque:
+        return peek_shard(payload.data, shards)
+    seen = 0
+    while isinstance(payload, Envelope) and seen < 8:
+        key = parse_instance(payload.component)
+        if key is not None and 0 <= key[0] < shards:
+            return key[0]
+        payload = payload.payload
+        seen += 1
+    return UNATTRIBUTED
+
+
+def peek_shard(data: bytes, shards: int) -> int:
+    """Read the shard tag off a raw binary-codec span without decoding.
+
+    The span of an enveloped payload starts with ``TAG_ENVELOPE`` and its
+    component; an instance component (``s<shard>.<slot>``) is two varints
+    right there in the header, so steering costs a few byte reads instead
+    of a payload decode.  Non-instance components (interned table names
+    like ``"mux"``, or raw strings) are skipped and the nested payload is
+    peeked, mirroring the envelope-chain walk on materialized values.
+    Anything unrecognized — including a truncated or hostile span —
+    answers :data:`UNATTRIBUTED`, never raises: unattributable traffic
+    goes to hub 0 like any control frame.
+    """
+    pos = 0
+    try:
+        for _ in range(8):
+            if pos >= len(data) or data[pos] != TAG_ENVELOPE:
+                return UNATTRIBUTED
+            pos += 1
+            kind = data[pos]
+            pos += 1
+            if kind == _COMPONENT_INSTANCE:
+                shard, pos = _read_varint(data, pos)
+                return shard if 0 <= shard < shards else UNATTRIBUTED
+            if kind == _COMPONENT_STR:
+                length, pos = _read_varint(data, pos)
+                pos += length
+            elif kind < _COMPONENT_TABLE_BASE:
+                return UNATTRIBUTED
+            # table component: the single kind byte was the whole encoding
+    except (IndexError, CodecError):
+        return UNATTRIBUTED
+    return UNATTRIBUTED
 
 
 class ShardMultiplexer(CompositeProtocol):

@@ -300,6 +300,17 @@ class TestEventStream:
         sink.emit(SendEvent(0.5, 0, 1, "m", 1))  # no legacy counterpart
         assert via_sink.events == direct.events
 
+    def test_tracer_sink_materializes_relayed_spans(self):
+        # Hub events on the binary codec carry undecoded Opaque spans; the
+        # legacy tracer still records the object.
+        from repro.codec import Opaque
+        from repro.codec.binary import encode
+        from repro.sim.trace import Tracer
+
+        tracer = Tracer(enabled=True)
+        TracerSink(tracer).emit(DeliverEvent(1.0, 2, 0, Opaque(encode(("m", 4))), 1))
+        assert tracer.events[0].data["payload"] == ("m", 4)
+
     def test_combine(self):
         log = EventLog()
         assert combine(None, None) is None

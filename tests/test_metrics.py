@@ -182,6 +182,18 @@ class TestStreamAggregate:
         assert summary["runs"] == 1
         assert summary["one_step_frac"] == 1.0
 
+    def test_untimed_wall_figures_are_none(self):
+        from repro.metrics.collectors import StreamAggregate
+
+        agg = StreamAggregate()
+        stats, _ = self._run_with_sink(unanimous(1, 7), seed=3)
+        agg.add_stats(stats)
+        summary = agg.summary()
+        assert summary["mean_wall_seconds"] is None
+        assert summary["throughput_msgs_per_s"] is None
+        agg.add_stats(stats, wall_seconds=2.0)
+        assert agg.summary()["mean_wall_seconds"] == 2.0
+
     def test_empty_aggregate_is_all_zeros(self):
         from repro.metrics.collectors import StreamAggregate
 

@@ -15,8 +15,13 @@ Four layers, mirroring :mod:`repro.shard`'s structure:
 
 import pytest
 
+from repro.codec import Opaque
+from repro.codec.binary import encode
+from repro.engine.events import EventSink, EventStats, SendEvent
 from repro.engine.faults import Silent
 from repro.harness import Scenario, dex_freq
+from repro.metrics.bench import _mean_numeric
+from repro.metrics.report import format_table
 from repro.runtime.composite import Envelope
 from repro.runtime.effects import Broadcast, Decide, Deliver, Log
 from repro.runtime.protocol import Protocol
@@ -31,6 +36,7 @@ from repro.shard import (
     shard_workload,
     step_of_kind,
 )
+from repro.shard.router import UNATTRIBUTED, shard_of_payload
 from repro.types import DecisionKind, SystemConfig
 from repro.workloads.inputs import unanimous
 
@@ -357,6 +363,19 @@ class TestShardedServiceSim:
         assert 0.0 <= agg["one_step_frac"] <= 1.0
         assert agg["sends"] > 0 and agg["delivers"] > 0
 
+    def test_unmeasured_wall_figures_are_none(self):
+        # Per-slot stats carry no wall time, so the message-rate figures
+        # were never measured: None, not a defaulted 0.0 — and the table
+        # and bench writers take the None as is.
+        report = ShardedService(n=7, shards=2, seed=9).run(count=12)
+        for row in (*report.per_shard, report.aggregate):
+            assert row["mean_wall_seconds"] is None
+            assert row["throughput_msgs_per_s"] is None
+        assert "None" in format_table([report.aggregate])
+        mean = _mean_numeric([report.aggregate, report.aggregate])
+        assert mean["throughput_msgs_per_s"] is None
+        assert mean["sends"] == report.aggregate["sends"]
+
     def test_uncontended_slots_take_the_one_step_path(self):
         report = ShardedService(n=7, shards=2, contention=0.0, seed=10).run(count=12)
         assert report.aggregate["one_step_frac"] == 1.0
@@ -384,6 +403,67 @@ class TestShardedServiceSim:
 
         with pytest.raises(ConfigurationError, match="unknown net jitter"):
             Scenario(dex_freq(), unanimous(1, 7), net_jitter="gamma")
+
+
+class _SentPayloads(EventSink):
+    def __init__(self) -> None:
+        self.payloads = []
+
+    def emit(self, event) -> None:
+        if type(event) is SendEvent:
+            self.payloads.append(event.payload)
+
+
+class TestShardAttribution:
+    def test_span_peek_matches_envelope_walk(self):
+        # Hub events on the binary codec carry undecoded spans; reading the
+        # shard off a span's header must charge every message a seeded run
+        # sends to the same shard as walking its decoded envelope chain.
+        sink = _SentPayloads()
+        report = ShardedService(
+            n=7, shards=4, contention=0.3, seed=12, event_sink=sink
+        ).run(count=24)
+        assert not report.divergence
+        shards = set()
+        for payload in sink.payloads:
+            shard = shard_of_payload(payload, 4)
+            assert shard_of_payload(Opaque(encode(payload)), 4) == shard
+            shards.add(shard)
+        assert {0, 1, 2, 3} <= shards
+
+    def test_foreign_payloads_are_unattributed_either_way(self):
+        for payload in ("just a value", Envelope("uc", 1), Envelope("s9.0", 1)):
+            assert shard_of_payload(payload, 4) == UNATTRIBUTED
+            assert shard_of_payload(Opaque(encode(payload)), 4) == UNATTRIBUTED
+
+
+@pytest.mark.net
+class TestHeaderOnlyHubEvents:
+    def test_hub_never_decodes_relayed_payloads(self, monkeypatch):
+        # Observation must not undo the zero-decode relay: with the shard
+        # metrics and an EventStats sink attached, the hub (this process)
+        # decodes no payload span, and the header-only counts still match
+        # the hub's own message counters.
+        decodes = []
+        decode = Opaque.decode
+
+        def counting_decode(span):
+            decodes.append(len(span.data))
+            return decode(span)
+
+        monkeypatch.setattr(Opaque, "decode", counting_decode)
+        stats = EventStats()
+        report = ShardedService(
+            n=7, shards=4, seed=13, engine="net", codec="binary", event_sink=stats
+        ).run(count=16, timeout=25.0)
+        assert not report.divergence
+        assert report.commands == 16
+        assert decodes == []
+        hub = report.result.stats
+        assert hub.messages_sent > 0
+        assert report.aggregate["sends"] == hub.messages_sent == stats.sends
+        assert report.aggregate["delivers"] == hub.messages_delivered == stats.delivers
+        assert_no_leaks()
 
 
 @pytest.mark.net
