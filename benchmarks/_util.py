@@ -9,6 +9,7 @@ artifacts survive the run and EXPERIMENTS.md can reference them.
 from __future__ import annotations
 
 import pathlib
+from typing import Any
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -20,3 +21,9 @@ def write_report(name: str, text: str) -> pathlib.Path:
     path.write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
     return path
+
+
+def round_or_none(value: Any, digits: int = 3) -> Any:
+    """Round a report figure; ``None`` (unmeasured, e.g. the latency of a
+    shard that decided nothing) stays ``None`` — a gap, not a zero."""
+    return None if value is None else round(value, digits)

@@ -14,7 +14,7 @@ one-step rate stays at 1.0 in the uncontended sweep (every slot's batch
 is unanimously proposed) and degrades once contention is injected.
 """
 
-from _util import write_report
+from _util import round_or_none, write_report
 
 from repro.metrics.report import format_table
 from repro.shard import ShardedService
@@ -41,9 +41,9 @@ def sweep():
                     "shards": shards,
                     "slots": report.slots,
                     "throughput (cmds/t)": round(report.throughput, 3),
-                    "one-step rate": round(report.aggregate["one_step_frac"], 3),
-                    "p99 slot latency": round(
-                        report.aggregate["p99_decision_latency_s"], 3
+                    "one-step rate": round_or_none(report.aggregate["one_step_frac"]),
+                    "p99 slot latency": round_or_none(
+                        report.aggregate["p99_decision_latency_s"]
                     ),
                 }
             )
@@ -60,8 +60,8 @@ def contended_row():
         "shards": 4,
         "slots": report.slots,
         "throughput (cmds/t)": round(report.throughput, 3),
-        "one-step rate": round(report.aggregate["one_step_frac"], 3),
-        "p99 slot latency": round(report.aggregate["p99_decision_latency_s"], 3),
+        "one-step rate": round_or_none(report.aggregate["one_step_frac"]),
+        "p99 slot latency": round_or_none(report.aggregate["p99_decision_latency_s"]),
     }
 
 

@@ -18,7 +18,7 @@ Expected shape — the classic saturation curve:
   the core never degrades.
 """
 
-from _util import write_report
+from _util import round_or_none, write_report
 
 from repro.frontend import Frontend, LoadGenerator, saturation_sweep
 from repro.metrics.report import format_table
@@ -58,7 +58,7 @@ def test_e22_frontend_saturation(benchmark):
             "thpt (cmds/slot)": row["throughput_cmds_per_slot"],
             "client p50": row["p50_client_latency_slots"],
             "client p99": row["p99_client_latency_slots"],
-            "consensus p99": round(row["consensus_p99_latency"], 3),
+            "consensus p99": round_or_none(row["consensus_p99_latency"]),
         }
         for row in rows
     ]

@@ -14,7 +14,7 @@ second) for the same uniform-key stream as the hub-group count grows,
 plus the per-hub frame counters proving the load actually split.
 """
 
-from _util import write_report
+from _util import round_or_none, write_report
 
 from repro.mesh import MeshTopology
 from repro.metrics.report import format_table
@@ -61,7 +61,7 @@ def sweep():
                 "hubs": hubs,
                 "slots": report.slots,
                 "throughput (cmds/s)": round(report.throughput, 3),
-                "one-step rate": round(report.aggregate["one_step_frac"], 3),
+                "one-step rate": round_or_none(report.aggregate["one_step_frac"]),
                 "hub frames": "/".join(
                     str(result.hub_frame_counts[h])
                     for h in sorted(result.hub_frame_counts)

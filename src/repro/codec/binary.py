@@ -39,7 +39,15 @@ from ..errors import ReproError
 from ..types import BOTTOM, DecisionKind
 from . import schema as _schema
 
-__all__ = ["BinaryCodec", "CodecError", "Opaque", "encode", "encode_into", "decode"]
+__all__ = [
+    "BinaryCodec",
+    "CodecError",
+    "Opaque",
+    "encode",
+    "encode_into",
+    "decode",
+    "decode_shareable",
+]
 
 
 class CodecError(ReproError):
@@ -288,7 +296,13 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         raise CodecError("truncated varint") from None
 
 
+#: :data:`TAG_PICKLE` escapes decoded so far in this process.  Only
+#: :func:`decode_shareable` reads it, comparing it across one decode.
+_pickle_escapes = 0
+
+
 def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
+    global _pickle_escapes
     try:
         tag = data[pos]
     except IndexError:
@@ -367,6 +381,7 @@ def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
         end = pos + length
         if end > len(data):
             raise CodecError("truncated pickle escape")
+        _pickle_escapes += 1
         return pickle.loads(data[pos:end]), end
     if tag == TAG_BOTTOM:
         return BOTTOM, pos
@@ -432,6 +447,19 @@ def decode(data: bytes, lazy: bool = False) -> Any:
     if end != len(data):
         raise CodecError(f"{len(data) - end} trailing bytes after value")
     return value
+
+
+def decode_shareable(data: bytes) -> tuple[Any, bool]:
+    """Decode one value (materialized) and say whether it may be shared.
+
+    The flag is ``False`` when any part of the value came through the
+    :data:`TAG_PICKLE` escape: an unpickled object may be mutable, so a
+    caller that memoizes decodes by their bytes (the node worker's span
+    memo) must hand every delivery a fresh one.
+    """
+    before = _pickle_escapes
+    value = decode(data)
+    return value, _pickle_escapes == before
 
 
 class BinaryCodec:

@@ -7,9 +7,10 @@ each outgoing data frame to the hub owning its shard, while everything
 control-plane — decisions, outputs, service calls, log records, and every
 unattributable payload — stays pinned to hub 0, where the orchestrator's
 event stream and services live.  Frame *semantics* are untouched: the
-worker reuses the base class's ``_dispatch`` for inbound frames and
-``_write_to`` for outbound ones, so the mesh cannot drift from the star
-on anything but which socket a frame takes.
+worker reuses the base class's ``_dispatch`` for inbound frames (the same
+lazy decode and span memo) and ``_write_to`` for outbound ones (one
+buffer per hub link, flushed after each select round), so the mesh
+cannot drift from the star on anything but which socket a frame takes.
 
 The failure contract is deliberately loud: EOF on the hub-0 link means
 the run is over (exit 0, as on the star), but EOF on a *data* hub link is
@@ -117,10 +118,13 @@ class MeshNodeWorker(NodeWorker):
             for hub, sock in enumerate(self.socks):
                 sock.settimeout(recv_timeout)
                 sel.register(
-                    sock, selectors.EVENT_READ, (hub, FrameDecoder(self.max_frame))
+                    sock,
+                    selectors.EVENT_READ,
+                    (hub, FrameDecoder(self.max_frame, lazy=True)),
                 )
             for sock in self.socks:
                 self._write_to(sock, Hello(self.pid, self.codec))
+            self.flush()
             self._hello_sent = True
             self._sent = 0
             deadline = time.monotonic() + recv_timeout
@@ -143,7 +147,9 @@ class MeshNodeWorker(NodeWorker):
                     deadline = time.monotonic() + recv_timeout
                     for msg in decoder.feed(data):
                         if not self._dispatch(msg):
+                            self.flush()
                             return EXIT_OK
+                self.flush()
         finally:
             sel.close()
 

@@ -388,15 +388,26 @@ SHARD_SKEWS = ("uniform", "zipf")
 
 
 def _mean_numeric(rows: Sequence[dict[str, Any]]) -> dict[str, Any]:
-    """Field-wise mean of the numeric entries of same-shaped dicts."""
+    """Field-wise mean of the numeric entries of same-shaped dicts.
+
+    ``None`` marks an unmeasured figure (e.g. the latency of a run that
+    decided nothing): it is left out of the mean, and a field no row
+    measured stays ``None``.
+    """
     if not rows:
         return {}
     out: dict[str, Any] = {}
     for key, value in rows[0].items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        column = [r[key] for r in rows]
+        if any(
+            isinstance(v, bool) or not isinstance(v, (int, float))
+            for v in column
+            if v is not None
+        ):
             out[key] = value
             continue
-        out[key] = round(sum(float(r[key]) for r in rows) / len(rows), 4)
+        measured = [float(v) for v in column if v is not None]
+        out[key] = round(sum(measured) / len(measured), 4) if measured else None
     return out
 
 

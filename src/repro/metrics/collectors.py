@@ -259,24 +259,41 @@ class StreamAggregate:
     def summary(self) -> dict[str, float | None]:
         """The headline numbers as one flat dict (for report rows).
 
-        ``mean_wall_seconds`` and ``throughput_msgs_per_s`` are ``None``
-        when no run recorded a wall time (e.g. the per-slot aggregates of
-        a sharded report): an unmeasured figure is never a zero.
+        An unmeasured figure is ``None``, never a zero:
+        ``mean_wall_seconds`` and ``throughput_msgs_per_s`` when no run
+        recorded a wall time (e.g. the per-slot aggregates of a sharded
+        report), and the step, path-fraction and latency figures when the
+        aggregate holds no decision (a shard that decided nothing).  The
+        properties behind them keep their 0.0 defaults.
         """
         timed = bool(self.wall_times)
+        decided = bool(self.steps)
+        timed_decisions = bool(self.decision_latencies)
+
+        def figure(value: float, digits: int, measured: bool) -> float | None:
+            return round(value, digits) if measured else None
+
         return {
             "runs": self.runs,
             "sends": self.sends,
             "delivers": self.delivers,
             "service_calls": self.service_calls,
-            "mean_step": round(self.mean_step, 3),
-            "mean_max_step": round(self.mean_max_step, 3),
-            "one_step_frac": round(self.one_step_fraction, 3),
-            "two_step_frac": round(self.kind_fraction(DecisionKind.TWO_STEP), 3),
-            "underlying_frac": round(self.kind_fraction(DecisionKind.UNDERLYING), 3),
-            "mean_wall_seconds": round(self.mean_wall_seconds, 6) if timed else None,
-            "throughput_msgs_per_s": round(self.throughput, 1) if timed else None,
-            "p50_decision_latency_s": round(self.latency_percentile(0.50), 6),
-            "p99_decision_latency_s": round(self.latency_percentile(0.99), 6),
+            "mean_step": figure(self.mean_step, 3, decided),
+            "mean_max_step": figure(self.mean_max_step, 3, decided),
+            "one_step_frac": figure(self.one_step_fraction, 3, decided),
+            "two_step_frac": figure(
+                self.kind_fraction(DecisionKind.TWO_STEP), 3, decided
+            ),
+            "underlying_frac": figure(
+                self.kind_fraction(DecisionKind.UNDERLYING), 3, decided
+            ),
+            "mean_wall_seconds": figure(self.mean_wall_seconds, 6, timed),
+            "throughput_msgs_per_s": figure(self.throughput, 1, timed),
+            "p50_decision_latency_s": figure(
+                self.latency_percentile(0.50), 6, timed_decisions
+            ),
+            "p99_decision_latency_s": figure(
+                self.latency_percentile(0.99), 6, timed_decisions
+            ),
             "timeouts": self.timeouts,
         }

@@ -33,7 +33,7 @@ import copy
 import os
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..engine.faults import Crash, FaultPlane, Silent
 from ..types import ProcessId
@@ -302,12 +302,22 @@ class ProcessCrash:
     exit_code: int = 17
     restart_after: float | None = None
 
-    def maybe_kill(self, sent: int) -> None:
+    def maybe_kill(self, sent: int, flush: Callable[[], None] | None = None) -> None:
         """Kill the current process if its send budget is exhausted.
+
+        ``flush`` runs just before the exit, so frames the node already
+        wrote but still buffers (the worker coalesces its writes) reach the
+        wire: the budget counts frames *written*, not frames sent.  A hub
+        that is already gone does not stop the kill.
 
         Inert unless ``REPRO_NET_NODE`` is set in the environment — only a
         net-engine node worker may ever be killed, never the test runner
         or an in-memory backend that a chaos spec leaked into.
         """
         if sent >= self.after and os.environ.get(NODE_ENV_MARKER):
+            if flush is not None:
+                try:
+                    flush()
+                except OSError:
+                    pass
             os._exit(self.exit_code)

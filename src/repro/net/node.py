@@ -6,11 +6,28 @@ connects to the orchestrator's hub socket.  The protocol is driven through
 the standard path — :func:`~repro.runtime.protocol.guarded` handler calls,
 :func:`~repro.engine.interpreter.interpret` effect execution — with a
 :class:`NodeWorker` as the :class:`~repro.engine.interpreter.
-ExecutionPorts` implementation: ``send`` writes a frame, ``broadcast``
-inherits the shared per-destination fan-out (self-copy included; the hub
-routes it back with zero jitter), ``decide`` reports to the hub once.
-Because the interpreter and the rewriters are reused unchanged, every
-fault that works in-memory works over the wire.
+ExecutionPorts` implementation: ``send`` appends a frame to the
+socket's outgoing buffer, ``broadcast`` inherits the shared
+per-destination fan-out (self-copy included; the hub routes it back with
+zero jitter), ``decide`` reports to the hub once.  Because the
+interpreter and the rewriters are reused unchanged, every fault that
+works in-memory works over the wire.
+
+The worker does the transport's per-message work once where it can:
+
+* **Decode once.**  Frames decode lazily, so relayed payloads arrive as
+  :class:`~repro.codec.Opaque` spans.  DEX's echo traffic hands a replica
+  the same payload bytes from up to n echoers, so each distinct span is
+  decoded once and its value memoized (bounded, :data:`SPAN_MEMO_ENTRIES`).
+  Only values that hash and never went through the codec's pickle escape
+  are shared; equal bytes always decode to equal values, so one sender
+  cannot change what another sender's delivery decodes to.
+* **Write once.**  Outgoing frames collect in one buffer per socket and
+  :meth:`NodeWorker.flush` sends each with a single ``sendall``: after
+  every inbound read has been dispatched, right after ``Hello``, and just
+  before a :class:`~repro.net.faults.ProcessCrash` kill — so a node that
+  dies at its Nth outgoing frame still delivers frames 0..N-1.  Frame
+  order per socket is unchanged.
 
 Workers are *forked*, not spawned: protocols routinely hold closures
 (behavior factories, ``uc_factory`` lambdas) that pickle cannot move
@@ -29,7 +46,7 @@ import time
 from typing import Any
 
 from ..codec import Opaque
-from ..codec.binary import wrap_opaque
+from ..codec.binary import decode_shareable, wrap_opaque
 from ..engine.interpreter import ExecutionPorts, interpret
 from ..errors import SimulationError
 from ..runtime.effects import Deliver, Log, ServiceCall
@@ -56,6 +73,10 @@ from .wire import (
 
 #: Sentinel distinct from every payload (payloads can be ``None``).
 _NO_CACHED_PAYLOAD = object()
+
+#: Bound on a worker's decoded-span memo; the oldest entry is evicted
+#: first.  A replica's live echo traffic repeats well within it.
+SPAN_MEMO_ENTRIES = 1024
 
 #: Worker exit codes (collected by the cluster for post-mortems).
 EXIT_OK = 0
@@ -135,7 +156,10 @@ class NodeWorker(ExecutionPorts):
         self._hello_sent = False
         self._decided = False
         self._started = False
-        self._buf = bytearray()
+        # Encoded frames not yet sent, per socket (see flush()).
+        self._out: dict[socket.socket, bytearray] = {}
+        # Decoded relayed payloads by span bytes (see _materialize()).
+        self._memo: dict[bytes, Any] = {}
         # One-slot encoded-payload cache for the binary codec: a broadcast
         # reaches send() once per destination with the *same* payload
         # object, so the payload encodes once and splices n times.  The
@@ -155,12 +179,47 @@ class NodeWorker(ExecutionPorts):
         # Parameterized over the socket because a mesh node holds one
         # connection per hub and steers data frames by shard.
         if self._hello_sent and self.crash is not None:
-            self.crash.maybe_kill(self._sent)
-        buf = self._buf
-        buf.clear()
+            self.crash.maybe_kill(self._sent, self.flush)
+        buf = self._out.get(sock)
+        if buf is None:
+            buf = self._out[sock] = bytearray()
         encode_frame_into(msg, buf, self.codec, self.max_frame)
-        sock.sendall(buf)
         self._sent += 1
+
+    def flush(self) -> None:
+        """Send every socket's buffered frames, one ``sendall`` each."""
+        for sock, buf in self._out.items():
+            if buf:
+                sock.sendall(buf)
+                buf.clear()
+
+    def _materialize(self, payload: Any) -> Any:
+        """The object behind a delivered payload, decoding each distinct
+        :class:`~repro.codec.Opaque` span once.
+
+        A value is memoized only if it hashes and decoded without the
+        codec's pickle escape, so a mutable object is never shared between
+        deliveries.  Payloads that are not spans (non-binary codecs) pass
+        through unchanged.
+        """
+        if type(payload) is not Opaque:
+            return payload
+        data = payload.data
+        memo = self._memo
+        try:
+            return memo[data]
+        except KeyError:
+            pass
+        value, shareable = decode_shareable(data)
+        if shareable:
+            try:
+                hash(value)
+            except TypeError:
+                return value
+            if len(memo) >= SPAN_MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[data] = value
+        return value
 
     # -- ExecutionPorts (broadcast inherits the per-destination default) ------------
 
@@ -196,9 +255,10 @@ class NodeWorker(ExecutionPorts):
         closing the connection) ends the run.  ``recv_timeout`` is a
         failsafe against a hub that died without closing its sockets.
         """
-        decoder = FrameDecoder(self.max_frame)
+        decoder = FrameDecoder(self.max_frame, lazy=True)
         self.sock.settimeout(recv_timeout)
         self._write(Hello(self.pid, self.codec))
+        self.flush()
         self._hello_sent = True
         self._sent = 0
         while True:
@@ -212,7 +272,9 @@ class NodeWorker(ExecutionPorts):
                 return EXIT_OK
             for msg in decoder.feed(data):
                 if not self._dispatch(msg):
+                    self.flush()
                     return EXIT_OK
+            self.flush()
 
     def _dispatch(self, msg: Any) -> bool:
         """Handle one inbound frame; ``False`` = Stop, the run is over.
@@ -225,12 +287,13 @@ class NodeWorker(ExecutionPorts):
                 self._started = True
                 interpret(self, self.pid, self.protocol.on_start(), 0)
         elif isinstance(msg, MsgDeliver):
-            effects = guarded(self.protocol, msg.sender, msg.payload)
+            payload = self._materialize(msg.payload)
+            effects = guarded(self.protocol, msg.sender, payload)
             interpret(self, self.pid, effects, msg.depth)
         elif isinstance(msg, MsgDeliverBatch):
             # Identical to the same deliveries as consecutive frames.
             for sender, payload, depth in msg.entries:
-                effects = guarded(self.protocol, sender, payload)
+                effects = guarded(self.protocol, sender, self._materialize(payload))
                 interpret(self, self.pid, effects, depth)
         elif isinstance(msg, Stop):
             return False

@@ -297,7 +297,8 @@ class MsgDeliverBatch:
     ``(sender, payload, depth)`` in delivery order — the node processes
     them exactly as consecutive :class:`MsgDeliver` frames.  Payloads may
     be :class:`repro.codec.Opaque` spans on the hub side; they encode by
-    splicing and always decode materialized on the node side.
+    splicing, and the node decodes lazily too, materializing each
+    distinct span once (see :class:`repro.net.node.NodeWorker`).
     """
 
     entries: tuple[tuple[ProcessId, Any, int], ...]

@@ -29,7 +29,10 @@ from repro.engine.events import (
     DeliverEvent,
     EventLog,
     EventStats,
+    LogEvent,
+    OutputEvent,
     SendEvent,
+    ServiceEvent,
     TeeSink,
 )
 from repro.engine.faults import Crash, Equivocate, Silent
@@ -327,6 +330,36 @@ class TestNetRobustness:
         assert result.decided_value == 1
         assert result.timed_out  # partial: an undecided correct pid remains
         assert result.exit_codes[6] == 17  # ProcessCrash exit_code default
+        assert_no_leaks()
+
+
+@pytest.mark.net(timeout=120)
+class TestCrashBudgetFlush:
+    def test_frames_before_the_budget_reach_the_hub(self):
+        # The worker coalesces its writes per inbound read, so pid 6's
+        # whole on_start broadcast sits in its buffer when the budget
+        # kills it: it must still send exactly its first `budget` frames.
+        budget = 4
+        log = EventLog()
+        scenario = Scenario(dex_freq(), unanimous(1, 7), seed=5)
+        protocols, services = scenario.components()
+        cluster = NetCluster(
+            scenario.config,
+            protocols,
+            services=services,
+            seed=5,
+            event_sink=log,
+            chaos={6: ProcessCrash(after=budget)},
+        )
+        result = cluster.run(timeout=8.0)
+        frame_events = (SendEvent, LogEvent, ServiceEvent, DecideEvent, OutputEvent)
+        from_victim = [
+            e for e in log.events if isinstance(e, frame_events) and e.pid == 6
+        ]
+        assert len(from_victim) == budget
+        assert result.exit_codes[6] == 17
+        assert 6 not in result.correct_decisions
+        assert result.agreement_holds()
         assert_no_leaks()
 
 

@@ -376,6 +376,27 @@ class TestShardedServiceSim:
         assert mean["throughput_msgs_per_s"] is None
         assert mean["sends"] == report.aggregate["sends"]
 
+    def test_idle_shard_decision_figures_are_none(self):
+        # One command over four shards: three shards decide nothing, so
+        # their step, path and latency figures are gaps, not 0.0 — while
+        # the busy shard and the aggregate still report numbers.
+        report = ShardedService(n=7, shards=4, seed=9).run(count=1)
+        figures = (
+            "p50_decision_latency_s", "p99_decision_latency_s", "mean_step",
+            "mean_max_step", "one_step_frac", "two_step_frac", "underlying_frac",
+        )
+        idle = [row for row in report.per_shard if row["slots"] == 0]
+        busy = [row for row in report.per_shard if row["slots"] > 0]
+        assert idle and busy
+        for row in idle:
+            assert all(row[name] is None for name in figures), row
+        for row in (*busy, report.aggregate):
+            assert all(isinstance(row[name], float) for name in figures), row
+        assert "None" in format_table(report.per_shard)
+        mean = _mean_numeric([idle[0], busy[0]])
+        assert mean["one_step_frac"] == busy[0]["one_step_frac"]
+        assert _mean_numeric(idle)["p99_decision_latency_s"] is None
+
     def test_uncontended_slots_take_the_one_step_path(self):
         report = ShardedService(n=7, shards=2, contention=0.0, seed=10).run(count=12)
         assert report.aggregate["one_step_frac"] == 1.0
